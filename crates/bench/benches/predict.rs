@@ -1,6 +1,6 @@
-//! Batch-prediction benchmarks: per-row recursive traversal vs the
-//! flattened blocked kernel (over row-block sizes) vs the parallel driver
-//! and the quantized fast path, on a HIGGS-shaped test set.
+//! Batch-prediction benchmarks: the flattened blocked kernel (over
+//! row-block sizes) vs the parallel driver and the quantized fast path, on
+//! a HIGGS-shaped test set.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use harp_binning::{BinningConfig, QuantizedMatrix};
@@ -23,9 +23,6 @@ fn bench_predict(c: &mut Criterion) {
     let mut group = c.benchmark_group("predict");
     group.sample_size(10);
 
-    group.bench_function("recursive/per_row", |b| {
-        b.iter(|| model.predict_raw_recursive(&test.features));
-    });
     for block in [16usize, 64, 256, 1024] {
         group.bench_with_input(BenchmarkId::new("flat/block", block), &block, |b, &block| {
             b.iter(|| Predictor::new(&engine).block_rows(block).predict_raw(&test.features));

@@ -833,7 +833,6 @@ pub fn serve(args: &[String]) -> Result<String, String> {
         ledger_every_batches: opts.parse_or("--ledger-every", defaults.ledger_every_batches)?,
         trace: trace_out.is_some(),
         metrics_addr: opts.get("--metrics-addr").map(str::to_string),
-        record_latency: defaults.record_latency,
     };
     let mut handle =
         harp_serve::serve(forest, cfg).map_err(|e| format!("failed to start server: {e}"))?;

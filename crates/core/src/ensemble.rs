@@ -126,18 +126,6 @@ impl GbdtModel {
         self.compile().predict_raw(features)
     }
 
-    /// The per-row recursive traversal the flat engine replaced, retained
-    /// as the correctness reference: equivalence tests assert the blocked
-    /// kernels are bitwise identical to this path.
-    pub fn predict_raw_recursive(&self, features: &FeatureMatrix) -> Vec<f32> {
-        let g = self.n_groups();
-        let mut out = Vec::with_capacity(features.n_rows() * g);
-        for r in 0..features.n_rows() {
-            out.extend(self.predict_raw_groups_row(|f| features.get(r, f as usize)));
-        }
-        out
-    }
-
     /// Like [`predict_raw`](Self::predict_raw) but scoring row blocks in
     /// parallel on the given pool. Output is bitwise identical to the
     /// serial path (blocks are disjoint, per-row accumulation order is
@@ -267,6 +255,16 @@ mod tests {
     use crate::tree::{NodeStats, SplitData};
     use harp_data::DenseMatrix;
 
+    /// The per-row recursive traversal the flat engine replaced — the
+    /// correctness oracle the blocked kernels must match bitwise.
+    fn predict_raw_recursive(m: &GbdtModel, features: &FeatureMatrix) -> Vec<f32> {
+        let mut out = Vec::with_capacity(features.n_rows() * m.n_groups());
+        for r in 0..features.n_rows() {
+            out.extend(m.predict_raw_groups_row(|f| features.get(r, f as usize)));
+        }
+        out
+    }
+
     fn model_with_one_split() -> GbdtModel {
         let mut t = Tree::new_root(NodeStats { g: 0.0, h: 4.0, count: 4 });
         let (l, r) = t.apply_split(
@@ -340,7 +338,7 @@ mod tests {
             .map(|i| if i % 9 == 0 { f32::NAN } else { (i % 13) as f32 / 6.0 })
             .collect();
         let features = FeatureMatrix::Dense(DenseMatrix::from_vec(n, 2, values));
-        assert_eq!(m.predict_raw(&features), m.predict_raw_recursive(&features));
+        assert_eq!(m.predict_raw(&features), predict_raw_recursive(&m, &features));
     }
 
     #[test]

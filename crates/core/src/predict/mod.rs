@@ -23,9 +23,9 @@
 //!
 //! Every path is bitwise identical to the per-row recursive reference
 //! ([`Tree::predict`](crate::tree::Tree::predict) summed in ensemble
-//! order), which `GbdtModel` retains as
-//! [`predict_raw_recursive`](crate::GbdtModel::predict_raw_recursive) for
-//! correctness testing.
+//! order, as
+//! [`GbdtModel::predict_raw_groups_row`](crate::GbdtModel::predict_raw_groups_row)
+//! does), which the `ensemble` unit tests keep as their oracle.
 
 mod driver;
 mod flat;

@@ -295,17 +295,7 @@ impl GbdtTrainer {
         dataset: &Dataset,
         eval: Option<EvalOptions<'_>>,
     ) -> Result<TrainOutput, String> {
-        let objective = self.params.loss.build();
-        objective
-            .validate_data(&dataset.labels, dataset.query_groups.as_deref())
-            .map_err(|e| format!("training data rejected by {}: {e}", self.params.loss.name()))?;
-        if let Some(e) = &eval {
-            objective
-                .validate_data(&e.data.labels, e.data.query_groups.as_deref())
-                .map_err(|err| {
-                    format!("eval data rejected by {}: {err}", self.params.loss.name())
-                })?;
-        }
+        self.validate_inputs(&dataset.labels, dataset.query_groups.as_deref(), eval.as_ref())?;
         Ok(self.train_with_eval(dataset, eval))
     }
 
@@ -387,18 +377,30 @@ impl GbdtTrainer {
         query_groups: Option<&[u32]>,
         eval: Option<EvalOptions<'_>>,
     ) -> Result<TrainOutput, String> {
+        self.validate_inputs(labels, query_groups, eval.as_ref())?;
+        Ok(self.train_store_grouped(store, labels, weights, query_groups, eval))
+    }
+
+    /// Runs the objective's data validation on the training labels/groups
+    /// and, when given, the eval set — the shared check behind the `try_*`
+    /// entry points.
+    fn validate_inputs(
+        &self,
+        labels: &[f32],
+        groups: Option<&[u32]>,
+        eval: Option<&EvalOptions<'_>>,
+    ) -> Result<(), String> {
         let objective = self.params.loss.build();
+        let name = self.params.loss.name();
         objective
-            .validate_data(labels, query_groups)
-            .map_err(|e| format!("training data rejected by {}: {e}", self.params.loss.name()))?;
-        if let Some(e) = &eval {
+            .validate_data(labels, groups)
+            .map_err(|e| format!("training data rejected by {name}: {e}"))?;
+        if let Some(e) = eval {
             objective
                 .validate_data(&e.data.labels, e.data.query_groups.as_deref())
-                .map_err(|err| {
-                    format!("eval data rejected by {}: {err}", self.params.loss.name())
-                })?;
+                .map_err(|err| format!("eval data rejected by {name}: {err}"))?;
         }
-        Ok(self.train_store_grouped(store, labels, weights, query_groups, eval))
+        Ok(())
     }
 
     /// The full store-mediated entry point; see

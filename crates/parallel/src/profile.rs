@@ -50,81 +50,140 @@ impl Default for Stopwatch {
     }
 }
 
-/// Shared, thread-safe profiling accumulator.
-///
-/// One `Profile` is attached to a [`crate::ThreadPool`]; the trainer resets it
-/// at measurement boundaries and renders a [`ProfileReport`] afterwards. All
-/// counters are relaxed atomics — they are statistics, not synchronization.
-#[derive(Debug, Default)]
-pub struct Profile {
+/// Declares the profile counters once. Each row is a field name with its
+/// doc line; the macro generates the [`Profile`] atomics, the
+/// [`ProfileCounters`] plain copy, and the `reset` / `snapshot` / `delta` /
+/// `named` plumbing between them, all in row order (which is the ledger's
+/// `counter/*` column order).
+macro_rules! profile_counters {
+    ($($(#[$doc:meta])+ $name:ident,)+) => {
+        /// Number of counters in a [`ProfileCounters`].
+        const N_COUNTERS: usize = [$(stringify!($name)),+].len();
+
+        /// Shared, thread-safe profiling accumulator.
+        ///
+        /// One `Profile` is attached to a [`crate::ThreadPool`]; the trainer
+        /// resets it at measurement boundaries and renders a
+        /// [`ProfileReport`] afterwards. All counters are relaxed atomics —
+        /// they are statistics, not synchronization.
+        #[derive(Debug, Default)]
+        pub struct Profile {
+            $($(#[$doc])+ pub $name: AtomicU64,)+
+        }
+
+        /// Raw counter values of a [`Profile`] at one instant — the snapshot
+        /// half of the snapshot/delta pair. Unlike [`ProfileReport`]
+        /// (whole-run ratios), these are plain monotone totals, so two
+        /// snapshots subtract cleanly.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct ProfileCounters {
+            $($(#[$doc])+ pub $name: u64,)+
+        }
+
+        impl Profile {
+            /// Every counter by name, in declaration order.
+            fn atomics(&self) -> [(&'static str, &AtomicU64); N_COUNTERS] {
+                [$((stringify!($name), &self.$name)),+]
+            }
+
+            /// Copies every raw counter into a plain [`ProfileCounters`]
+            /// value.
+            ///
+            /// Mirrors `BreakdownReport::since` in harp-metrics: take one
+            /// snapshot at an interval boundary, another later, and
+            /// [`ProfileCounters::delta`] yields the interval's traffic —
+            /// the API per-round consumers (the run ledger) use instead of
+            /// re-reading whole-run totals every round and double-counting.
+            pub fn snapshot(&self) -> ProfileCounters {
+                ProfileCounters { $($name: self.$name.load(Ordering::Relaxed)),+ }
+            }
+        }
+
+        impl ProfileCounters {
+            /// Element-wise difference `self - earlier` (saturating, so a
+            /// reset between snapshots yields zeros rather than wrapping).
+            pub fn delta(&self, earlier: &ProfileCounters) -> ProfileCounters {
+                ProfileCounters { $($name: self.$name.saturating_sub(earlier.$name)),+ }
+            }
+
+            /// `(name, value)` view in a stable order — the generic form
+            /// ledger records and diff tables consume.
+            pub fn named(&self) -> [(&'static str, u64); N_COUNTERS] {
+                [$((stringify!($name), self.$name)),+]
+            }
+        }
+    };
+}
+
+profile_counters! {
     /// Nanoseconds workers spent executing tasks.
-    pub busy_ns: AtomicU64,
+    busy_ns,
     /// Nanoseconds workers spent idle inside a fork/join region after
     /// finishing their share (the barrier wait).
-    pub barrier_wait_ns: AtomicU64,
+    barrier_wait_ns,
     /// Nanoseconds spent waiting to acquire contended spin locks.
-    pub lock_wait_ns: AtomicU64,
+    lock_wait_ns,
     /// Number of fork/join regions executed (== number of implicit barriers).
-    pub regions: AtomicU64,
+    regions,
     /// Number of individual tasks executed across all regions and queues.
-    pub tasks: AtomicU64,
+    tasks,
     /// Bytes read by trainer kernels (reported by the trainer, not measured).
-    pub bytes_read: AtomicU64,
+    bytes_read,
     /// Bytes written by trainer kernels.
-    pub bytes_written: AtomicU64,
+    bytes_written,
     /// Floating point operations reported by trainer kernels.
-    pub flops: AtomicU64,
+    flops,
     /// Sum over regions of the written working-set size (bytes) — the size of
     /// the GHSum region a task writes into, which §IV-E ties to cache misses.
-    pub region_write_ws_bytes: AtomicU64,
+    region_write_ws_bytes,
     /// Number of working-set observations (for averaging).
-    pub region_write_ws_samples: AtomicU64,
-    /// Wall-clock nanoseconds covered by this profile (set by `stop`).
-    pub wall_ns: AtomicU64,
+    region_write_ws_samples,
+    /// Wall-clock nanoseconds covered by this profile.
+    wall_ns,
     /// Scratch (histogram replica) buffers freshly allocated or grown by the
     /// drivers. Steady-state training must not increment this.
-    pub scratch_allocs: AtomicU64,
+    scratch_allocs,
     /// Scratch buffers reused from the pool without allocation.
-    pub scratch_reuses: AtomicU64,
+    scratch_reuses,
     /// Parallel-partition scratch (per-chunk counters and prefix bases)
     /// allocations or growths. Steady-state training must not increment this.
-    pub partition_scratch_allocs: AtomicU64,
+    partition_scratch_allocs,
     /// Parallel-partition scratch reuses (no allocation).
-    pub partition_scratch_reuses: AtomicU64,
+    partition_scratch_reuses,
     /// Histogram-pool candidate-cache hits (parent histogram found, enabling
     /// the parent − sibling subtraction trick).
-    pub hist_cache_hits: AtomicU64,
+    hist_cache_hits,
     /// Histogram-pool candidate-cache misses (parent absent or evicted; both
     /// children need a fresh BuildHist).
-    pub hist_cache_misses: AtomicU64,
+    hist_cache_misses,
     /// Histogram-pool cache evictions under the byte budget.
-    pub hist_cache_evictions: AtomicU64,
+    hist_cache_evictions,
     /// Block-plan tasks enumerated under the replicated (DP) accumulation
     /// policy.
-    pub plan_tasks_replicated: AtomicU64,
+    plan_tasks_replicated,
     /// Block-plan tasks enumerated under the exclusive-write (MP) policy.
-    pub plan_tasks_exclusive: AtomicU64,
+    plan_tasks_exclusive,
     /// BuildHist batches whose block extents came from the auto-tuner cost
     /// model rather than an explicit config.
-    pub plan_batches_auto: AtomicU64,
+    plan_batches_auto,
     /// Feature columns stored nibble-packed (u4) by the compressed-layout
     /// selector.
-    pub cols_u4: AtomicU64,
+    cols_u4,
     /// Original feature columns fused into bundled synthetic columns.
-    pub cols_bundled: AtomicU64,
+    cols_bundled,
     /// Cell conflicts dropped by the bundle planner (non-zero only with a
     /// positive conflict budget).
-    pub bundle_conflicts: AtomicU64,
+    bundle_conflicts,
     /// Kernel SIMD tier dispatched (0 scalar, 1 sse2, 2 avx2); a level, not
     /// a count.
-    pub simd_tier: AtomicU64,
+    simd_tier,
     /// Out-of-core chunks decoded from the cache file (zero when training
     /// in-core).
-    pub chunk_loads: AtomicU64,
+    chunk_loads,
     /// Out-of-core chunks evicted under the resident-byte budget.
-    pub chunk_evictions: AtomicU64,
+    chunk_evictions,
     /// Chunk pins satisfied by the background prefetch worker.
-    pub chunk_prefetch_hits: AtomicU64,
+    chunk_prefetch_hits,
 }
 
 impl Profile {
@@ -135,36 +194,7 @@ impl Profile {
 
     /// Clears every counter.
     pub fn reset(&self) {
-        for c in [
-            &self.busy_ns,
-            &self.barrier_wait_ns,
-            &self.lock_wait_ns,
-            &self.regions,
-            &self.tasks,
-            &self.bytes_read,
-            &self.bytes_written,
-            &self.flops,
-            &self.region_write_ws_bytes,
-            &self.region_write_ws_samples,
-            &self.wall_ns,
-            &self.scratch_allocs,
-            &self.scratch_reuses,
-            &self.partition_scratch_allocs,
-            &self.partition_scratch_reuses,
-            &self.hist_cache_hits,
-            &self.hist_cache_misses,
-            &self.hist_cache_evictions,
-            &self.plan_tasks_replicated,
-            &self.plan_tasks_exclusive,
-            &self.plan_batches_auto,
-            &self.cols_u4,
-            &self.cols_bundled,
-            &self.bundle_conflicts,
-            &self.simd_tier,
-            &self.chunk_loads,
-            &self.chunk_evictions,
-            &self.chunk_prefetch_hits,
-        ] {
+        for (_, c) in self.atomics() {
             c.store(0, Ordering::Relaxed);
         }
     }
@@ -252,254 +282,44 @@ impl Profile {
         self.wall_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Copies every raw counter into a plain [`ProfileCounters`] value.
-    ///
-    /// Mirrors `BreakdownReport::since` in harp-metrics: take one snapshot at
-    /// an interval boundary, another later, and
-    /// [`ProfileCounters::delta`] yields the interval's traffic — the API
-    /// per-round consumers (the run ledger) use instead of re-reading
-    /// whole-run totals every round and double-counting.
-    pub fn snapshot(&self) -> ProfileCounters {
-        ProfileCounters {
-            busy_ns: self.busy_ns.load(Ordering::Relaxed),
-            barrier_wait_ns: self.barrier_wait_ns.load(Ordering::Relaxed),
-            lock_wait_ns: self.lock_wait_ns.load(Ordering::Relaxed),
-            regions: self.regions.load(Ordering::Relaxed),
-            tasks: self.tasks.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            flops: self.flops.load(Ordering::Relaxed),
-            region_write_ws_bytes: self.region_write_ws_bytes.load(Ordering::Relaxed),
-            region_write_ws_samples: self.region_write_ws_samples.load(Ordering::Relaxed),
-            wall_ns: self.wall_ns.load(Ordering::Relaxed),
-            scratch_allocs: self.scratch_allocs.load(Ordering::Relaxed),
-            scratch_reuses: self.scratch_reuses.load(Ordering::Relaxed),
-            partition_scratch_allocs: self.partition_scratch_allocs.load(Ordering::Relaxed),
-            partition_scratch_reuses: self.partition_scratch_reuses.load(Ordering::Relaxed),
-            hist_cache_hits: self.hist_cache_hits.load(Ordering::Relaxed),
-            hist_cache_misses: self.hist_cache_misses.load(Ordering::Relaxed),
-            hist_cache_evictions: self.hist_cache_evictions.load(Ordering::Relaxed),
-            plan_tasks_replicated: self.plan_tasks_replicated.load(Ordering::Relaxed),
-            plan_tasks_exclusive: self.plan_tasks_exclusive.load(Ordering::Relaxed),
-            plan_batches_auto: self.plan_batches_auto.load(Ordering::Relaxed),
-            cols_u4: self.cols_u4.load(Ordering::Relaxed),
-            cols_bundled: self.cols_bundled.load(Ordering::Relaxed),
-            bundle_conflicts: self.bundle_conflicts.load(Ordering::Relaxed),
-            simd_tier: self.simd_tier.load(Ordering::Relaxed),
-            chunk_loads: self.chunk_loads.load(Ordering::Relaxed),
-            chunk_evictions: self.chunk_evictions.load(Ordering::Relaxed),
-            chunk_prefetch_hits: self.chunk_prefetch_hits.load(Ordering::Relaxed),
-        }
-    }
-
     /// Renders the counters into a report, given the number of pool threads.
     pub fn report(&self, threads: usize) -> ProfileReport {
-        let busy = self.busy_ns.load(Ordering::Relaxed);
-        let barrier = self.barrier_wait_ns.load(Ordering::Relaxed);
-        let lock = self.lock_wait_ns.load(Ordering::Relaxed);
-        let wall = self.wall_ns.load(Ordering::Relaxed);
-        let tasks = self.tasks.load(Ordering::Relaxed);
-        let regions = self.regions.load(Ordering::Relaxed);
-        let read = self.bytes_read.load(Ordering::Relaxed);
-        let written = self.bytes_written.load(Ordering::Relaxed);
-        let flops = self.flops.load(Ordering::Relaxed);
-        let ws_bytes = self.region_write_ws_bytes.load(Ordering::Relaxed);
-        let ws_samples = self.region_write_ws_samples.load(Ordering::Relaxed);
-        let scratch_allocs = self.scratch_allocs.load(Ordering::Relaxed);
-        let scratch_reuses = self.scratch_reuses.load(Ordering::Relaxed);
-        let partition_scratch_allocs = self.partition_scratch_allocs.load(Ordering::Relaxed);
-        let partition_scratch_reuses = self.partition_scratch_reuses.load(Ordering::Relaxed);
-        let hist_cache_hits = self.hist_cache_hits.load(Ordering::Relaxed);
-        let hist_cache_misses = self.hist_cache_misses.load(Ordering::Relaxed);
-        let hist_cache_evictions = self.hist_cache_evictions.load(Ordering::Relaxed);
-        let cols_u4 = self.cols_u4.load(Ordering::Relaxed);
-        let cols_bundled = self.cols_bundled.load(Ordering::Relaxed);
-        let bundle_conflicts = self.bundle_conflicts.load(Ordering::Relaxed);
-        let simd_tier = self.simd_tier.load(Ordering::Relaxed);
-        let chunk_loads = self.chunk_loads.load(Ordering::Relaxed);
-        let chunk_evictions = self.chunk_evictions.load(Ordering::Relaxed);
-        let chunk_prefetch_hits = self.chunk_prefetch_hits.load(Ordering::Relaxed);
-
-        let thread_time = (threads as u64).saturating_mul(wall);
-        let in_region = busy + barrier;
+        let c = self.snapshot();
+        let thread_time = (threads as u64).saturating_mul(c.wall_ns);
+        let in_region = c.busy_ns + c.barrier_wait_ns;
         ProfileReport {
             threads,
-            wall_secs: wall as f64 / 1e9,
-            cpu_utilization: ratio(busy, thread_time),
-            barrier_overhead: ratio(barrier, in_region),
-            lock_wait_share: ratio(lock, in_region.max(1)),
-            regions,
-            tasks,
-            avg_task_us: if tasks == 0 { 0.0 } else { busy as f64 / tasks as f64 / 1e3 },
-            bytes_read: read,
-            bytes_written: written,
-            flops,
-            flops_per_byte: ratio(flops, read + written),
-            avg_write_working_set: if ws_samples == 0 {
+            wall_secs: c.wall_ns as f64 / 1e9,
+            cpu_utilization: ratio(c.busy_ns, thread_time),
+            barrier_overhead: ratio(c.barrier_wait_ns, in_region),
+            lock_wait_share: ratio(c.lock_wait_ns, in_region.max(1)),
+            regions: c.regions,
+            tasks: c.tasks,
+            avg_task_us: if c.tasks == 0 { 0.0 } else { c.busy_ns as f64 / c.tasks as f64 / 1e3 },
+            bytes_read: c.bytes_read,
+            bytes_written: c.bytes_written,
+            flops: c.flops,
+            flops_per_byte: ratio(c.flops, c.bytes_read + c.bytes_written),
+            avg_write_working_set: if c.region_write_ws_samples == 0 {
                 0.0
             } else {
-                ws_bytes as f64 / ws_samples as f64
+                c.region_write_ws_bytes as f64 / c.region_write_ws_samples as f64
             },
-            scratch_allocs,
-            scratch_reuses,
-            partition_scratch_allocs,
-            partition_scratch_reuses,
-            hist_cache_hits,
-            hist_cache_misses,
-            hist_cache_evictions,
-            cols_u4,
-            cols_bundled,
-            bundle_conflicts,
-            simd_tier,
-            chunk_loads,
-            chunk_evictions,
-            chunk_prefetch_hits,
+            scratch_allocs: c.scratch_allocs,
+            scratch_reuses: c.scratch_reuses,
+            partition_scratch_allocs: c.partition_scratch_allocs,
+            partition_scratch_reuses: c.partition_scratch_reuses,
+            hist_cache_hits: c.hist_cache_hits,
+            hist_cache_misses: c.hist_cache_misses,
+            hist_cache_evictions: c.hist_cache_evictions,
+            cols_u4: c.cols_u4,
+            cols_bundled: c.cols_bundled,
+            bundle_conflicts: c.bundle_conflicts,
+            simd_tier: c.simd_tier,
+            chunk_loads: c.chunk_loads,
+            chunk_evictions: c.chunk_evictions,
+            chunk_prefetch_hits: c.chunk_prefetch_hits,
         }
-    }
-}
-
-/// Raw counter values of a [`Profile`] at one instant — the snapshot half of
-/// the snapshot/delta pair. Unlike [`ProfileReport`] (whole-run ratios),
-/// these are plain monotone totals, so two snapshots subtract cleanly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProfileCounters {
-    /// Worker busy nanoseconds.
-    pub busy_ns: u64,
-    /// End-of-region barrier-wait nanoseconds.
-    pub barrier_wait_ns: u64,
-    /// Contended spin-lock wait nanoseconds.
-    pub lock_wait_ns: u64,
-    /// Fork/join regions executed.
-    pub regions: u64,
-    /// Tasks executed.
-    pub tasks: u64,
-    /// Trainer-reported bytes read.
-    pub bytes_read: u64,
-    /// Trainer-reported bytes written.
-    pub bytes_written: u64,
-    /// Trainer-reported FLOPs.
-    pub flops: u64,
-    /// Summed write working-set bytes.
-    pub region_write_ws_bytes: u64,
-    /// Write working-set observations.
-    pub region_write_ws_samples: u64,
-    /// Wall nanoseconds covered.
-    pub wall_ns: u64,
-    /// Replica-arena allocations or growths.
-    pub scratch_allocs: u64,
-    /// Replica-arena pool hits.
-    pub scratch_reuses: u64,
-    /// Partition-scratch allocations or growths.
-    pub partition_scratch_allocs: u64,
-    /// Partition-scratch reuses.
-    pub partition_scratch_reuses: u64,
-    /// Histogram-cache hits.
-    pub hist_cache_hits: u64,
-    /// Histogram-cache misses.
-    pub hist_cache_misses: u64,
-    /// Histogram-cache evictions.
-    pub hist_cache_evictions: u64,
-    /// Block-plan tasks under the replicated (DP) policy.
-    pub plan_tasks_replicated: u64,
-    /// Block-plan tasks under the exclusive-write (MP) policy.
-    pub plan_tasks_exclusive: u64,
-    /// Auto-tuned BuildHist batches.
-    pub plan_batches_auto: u64,
-    /// Feature columns stored nibble-packed (u4).
-    pub cols_u4: u64,
-    /// Original feature columns fused into bundles.
-    pub cols_bundled: u64,
-    /// Cell conflicts dropped by the bundle planner.
-    pub bundle_conflicts: u64,
-    /// Kernel SIMD tier (0 scalar, 1 sse2, 2 avx2).
-    pub simd_tier: u64,
-    /// Out-of-core chunks decoded.
-    pub chunk_loads: u64,
-    /// Out-of-core chunks evicted under the resident budget.
-    pub chunk_evictions: u64,
-    /// Chunk pins satisfied by the prefetch worker.
-    pub chunk_prefetch_hits: u64,
-}
-
-impl ProfileCounters {
-    /// Element-wise difference `self - earlier` (saturating, so a reset
-    /// between snapshots yields zeros rather than wrapping).
-    pub fn delta(&self, earlier: &ProfileCounters) -> ProfileCounters {
-        let mut out = ProfileCounters::default();
-        for ((_, d), ((_, a), (_, b))) in
-            out.named_mut().into_iter().zip(self.named().into_iter().zip(earlier.named()))
-        {
-            *d = a.saturating_sub(b);
-        }
-        out
-    }
-
-    /// `(name, value)` view in a stable order — the generic form ledger
-    /// records and diff tables consume.
-    pub fn named(&self) -> [(&'static str, u64); 28] {
-        [
-            ("busy_ns", self.busy_ns),
-            ("barrier_wait_ns", self.barrier_wait_ns),
-            ("lock_wait_ns", self.lock_wait_ns),
-            ("regions", self.regions),
-            ("tasks", self.tasks),
-            ("bytes_read", self.bytes_read),
-            ("bytes_written", self.bytes_written),
-            ("flops", self.flops),
-            ("region_write_ws_bytes", self.region_write_ws_bytes),
-            ("region_write_ws_samples", self.region_write_ws_samples),
-            ("wall_ns", self.wall_ns),
-            ("scratch_allocs", self.scratch_allocs),
-            ("scratch_reuses", self.scratch_reuses),
-            ("partition_scratch_allocs", self.partition_scratch_allocs),
-            ("partition_scratch_reuses", self.partition_scratch_reuses),
-            ("hist_cache_hits", self.hist_cache_hits),
-            ("hist_cache_misses", self.hist_cache_misses),
-            ("hist_cache_evictions", self.hist_cache_evictions),
-            ("plan_tasks_replicated", self.plan_tasks_replicated),
-            ("plan_tasks_exclusive", self.plan_tasks_exclusive),
-            ("plan_batches_auto", self.plan_batches_auto),
-            ("cols_u4", self.cols_u4),
-            ("cols_bundled", self.cols_bundled),
-            ("bundle_conflicts", self.bundle_conflicts),
-            ("simd_tier", self.simd_tier),
-            ("chunk_loads", self.chunk_loads),
-            ("chunk_evictions", self.chunk_evictions),
-            ("chunk_prefetch_hits", self.chunk_prefetch_hits),
-        ]
-    }
-
-    fn named_mut(&mut self) -> [(&'static str, &mut u64); 28] {
-        [
-            ("busy_ns", &mut self.busy_ns),
-            ("barrier_wait_ns", &mut self.barrier_wait_ns),
-            ("lock_wait_ns", &mut self.lock_wait_ns),
-            ("regions", &mut self.regions),
-            ("tasks", &mut self.tasks),
-            ("bytes_read", &mut self.bytes_read),
-            ("bytes_written", &mut self.bytes_written),
-            ("flops", &mut self.flops),
-            ("region_write_ws_bytes", &mut self.region_write_ws_bytes),
-            ("region_write_ws_samples", &mut self.region_write_ws_samples),
-            ("wall_ns", &mut self.wall_ns),
-            ("scratch_allocs", &mut self.scratch_allocs),
-            ("scratch_reuses", &mut self.scratch_reuses),
-            ("partition_scratch_allocs", &mut self.partition_scratch_allocs),
-            ("partition_scratch_reuses", &mut self.partition_scratch_reuses),
-            ("hist_cache_hits", &mut self.hist_cache_hits),
-            ("hist_cache_misses", &mut self.hist_cache_misses),
-            ("hist_cache_evictions", &mut self.hist_cache_evictions),
-            ("plan_tasks_replicated", &mut self.plan_tasks_replicated),
-            ("plan_tasks_exclusive", &mut self.plan_tasks_exclusive),
-            ("plan_batches_auto", &mut self.plan_batches_auto),
-            ("cols_u4", &mut self.cols_u4),
-            ("cols_bundled", &mut self.cols_bundled),
-            ("bundle_conflicts", &mut self.bundle_conflicts),
-            ("simd_tier", &mut self.simd_tier),
-            ("chunk_loads", &mut self.chunk_loads),
-            ("chunk_evictions", &mut self.chunk_evictions),
-            ("chunk_prefetch_hits", &mut self.chunk_prefetch_hits),
-        ]
     }
 }
 
@@ -783,6 +603,38 @@ mod tests {
         // The named view covers every field (a new counter must be added to
         // `named()` or this count drifts).
         assert_eq!(d.named().len(), 28);
+    }
+
+    #[test]
+    fn every_counter_is_declared_once() {
+        // Bumping one atomic must move exactly its own named delta, and the
+        // serde field names must be the `named()` names in the same order.
+        let p = Profile::new();
+        let names: Vec<&str> = p.snapshot().named().iter().map(|&(n, _)| n).collect();
+        assert_eq!(names.len(), N_COUNTERS);
+        for (name, atomic) in p.atomics() {
+            let before = p.snapshot();
+            atomic.fetch_add(1, Ordering::Relaxed);
+            let moved: Vec<&str> = p
+                .snapshot()
+                .delta(&before)
+                .named()
+                .iter()
+                .filter(|&&(_, v)| v != 0)
+                .map(|&(n, _)| n)
+                .collect();
+            assert_eq!(moved, [name], "bumping {name} moved {moved:?}");
+        }
+        let json = serde_json::to_string(&p.snapshot()).unwrap();
+        let mut at = 0;
+        for name in names {
+            let key = format!("\"{name}\":");
+            at += json[at..]
+                .find(&key)
+                .unwrap_or_else(|| panic!("{name} not serialized in order"));
+        }
+        p.reset();
+        assert_eq!(p.snapshot(), ProfileCounters::default());
     }
 
     #[test]

@@ -109,12 +109,6 @@ fn respond(
     stream.flush()
 }
 
-fn counter(out: &mut String, name: &str, help: &str, value: u64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    let _ = writeln!(out, "{name} {value}");
-}
-
 fn gauge(out: &mut String, name: &str, help: &str, value: f64) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} gauge");
@@ -151,18 +145,11 @@ fn histogram_series(
 /// exposition format permits — cumulative counts stay monotone.
 pub fn render_prometheus(snap: &StatsSnapshot) -> String {
     let mut out = String::with_capacity(4096);
-    counter(&mut out, "harp_serve_requests_total", "Score requests admitted.", snap.requests);
-    counter(&mut out, "harp_serve_rows_total", "Rows admitted in Score requests.", snap.rows);
-    counter(&mut out, "harp_serve_batches_total", "Micro-batches dispatched.", snap.batches);
-    counter(&mut out, "harp_serve_sheds_total", "Requests shed by admission control.", snap.sheds);
-    counter(
-        &mut out,
-        "harp_serve_protocol_errors_total",
-        "Protocol errors answered.",
-        snap.protocol_errors,
-    );
-    counter(&mut out, "harp_serve_swaps_total", "Model hot-swaps installed.", snap.swaps);
-    counter(&mut out, "harp_serve_connections_total", "Connections accepted.", snap.connections);
+    for (name, help, value) in snap.counters() {
+        let _ = writeln!(out, "# HELP harp_serve_{name}_total {help}");
+        let _ = writeln!(out, "# TYPE harp_serve_{name}_total counter");
+        let _ = writeln!(out, "harp_serve_{name}_total {value}");
+    }
     gauge(
         &mut out,
         "harp_serve_generation",

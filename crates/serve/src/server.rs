@@ -87,9 +87,6 @@ pub struct ServeConfig {
     /// Bind a plain-HTTP `/metrics` endpoint (Prometheus text exposition)
     /// here (`None` = no endpoint; `127.0.0.1:0` picks a free port).
     pub metrics_addr: Option<String>,
-    /// Record per-request latency histograms (on by default; `bench_serve`
-    /// turns it off for one arm of its overhead A/B).
-    pub record_latency: bool,
 }
 
 impl Default for ServeConfig {
@@ -108,7 +105,6 @@ impl Default for ServeConfig {
             ledger_every_batches: 64,
             trace: false,
             metrics_addr: None,
-            record_latency: true,
         }
     }
 }
@@ -438,11 +434,7 @@ fn send_reply(writer: &Arc<Mutex<TcpStream>>, ctx: &ServerCtx, frame: &Frame) {
         let mut w = writer.lock().expect("writer poisoned");
         let _ = write_frame(&mut *w, frame);
     }
-    let ns = t0.elapsed().as_nanos() as u64;
-    ServeStats::add_ns(&ctx.stats.write_ns, ns);
-    if ctx.cfg.record_latency {
-        ctx.stats.write_hist.record(ns);
-    }
+    ctx.stats.write_hist.record(t0.elapsed().as_nanos() as u64);
 }
 
 fn connection_loop(stream: TcpStream, ctx: Arc<ServerCtx>, tx: SyncSender<ScoreJob>) {
@@ -649,14 +641,9 @@ fn dispatch_loop(rx: Receiver<ScoreJob>, ctx: Arc<ServerCtx>) {
 /// Scores one micro-batch against a single forest snapshot and writes
 /// every response.
 fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>) {
-    let record = ctx.cfg.record_latency;
     let now = ctx.clock.now_ns();
     for job in &batch {
-        let wait = now.saturating_sub(job.enqueue_ns);
-        ServeStats::add_ns(&ctx.stats.queue_wait_ns, wait);
-        if record {
-            ctx.stats.queue_wait_hist.record(wait);
-        }
+        ctx.stats.queue_wait_hist.record(now.saturating_sub(job.enqueue_ns));
     }
     ctx.stats.queue_depth.fetch_sub(batch.len() as u64, Ordering::Relaxed);
     ServeStats::bump(&ctx.stats.batches);
@@ -715,16 +702,8 @@ fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>)
             predictor = predictor.with_trace(sink);
         }
 
-        // Explicit Instant timing so the same measurement feeds both the
-        // running totals and the latency histograms.
-        let phase_done = |t0: Instant,
-                          counter: &std::sync::atomic::AtomicU64,
-                          hist: &harp_metrics::AtomicHistogram| {
-            let ns = t0.elapsed().as_nanos() as u64;
-            ServeStats::add_ns(counter, ns);
-            if record {
-                hist.record(ns);
-            }
+        let phase_done = |t0: Instant, hist: &harp_metrics::AtomicHistogram| {
+            hist.record(t0.elapsed().as_nanos() as u64);
         };
         let scores = if group.binned {
             let t0 = Instant::now();
@@ -736,10 +715,10 @@ fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>)
                 }
             }
             let n_rows = bins.len() / n_cols;
-            phase_done(t0, &ctx.stats.assemble_ns, &ctx.stats.assemble_hist);
+            phase_done(t0, &ctx.stats.assemble_hist);
             let t0 = Instant::now();
             let scores = predictor.predict_raw_bin_rows(&BinRows::new(n_rows, n_cols, &bins));
-            phase_done(t0, &ctx.stats.predict_ns, &ctx.stats.predict_hist);
+            phase_done(t0, &ctx.stats.predict_hist);
             scores
         } else {
             let t0 = Instant::now();
@@ -752,10 +731,10 @@ fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>)
             }
             let n_rows = values.len() / n_cols;
             let matrix = FeatureMatrix::Dense(DenseMatrix::from_vec(n_rows, n_cols, values));
-            phase_done(t0, &ctx.stats.assemble_ns, &ctx.stats.assemble_hist);
+            phase_done(t0, &ctx.stats.assemble_hist);
             let t0 = Instant::now();
             let scores = predictor.predict_raw(&matrix);
-            phase_done(t0, &ctx.stats.predict_ns, &ctx.stats.predict_hist);
+            phase_done(t0, &ctx.stats.predict_hist);
             scores
         };
 
@@ -771,10 +750,7 @@ fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>)
                     scores: scores[offset..offset + len].to_vec(),
                 },
             );
-            if record {
-                let e2e = ctx.clock.now_ns().saturating_sub(job.enqueue_ns);
-                ctx.stats.e2e_hist.record(e2e);
-            }
+            ctx.stats.e2e_hist.record(ctx.clock.now_ns().saturating_sub(job.enqueue_ns));
             offset += len;
         }
     }

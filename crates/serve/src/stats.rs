@@ -4,55 +4,137 @@
 //! [`StatsSnapshot`] is a consistent-enough point-in-time read used for
 //! the `Stats` protocol reply, the shutdown summary, the `/metrics`
 //! exposition, and the serve [`RunLedger`](harp_metrics::RunLedger)
-//! epochs. Phase nanoseconds mirror the trainer's breakdown discipline:
+//! epochs. Phase times mirror the trainer's breakdown discipline:
 //! `queue_wait` (admission to dispatch), `assemble` (batch → matrix),
 //! `predict` (forest traversal), and `write` (response serialization +
-//! socket write) partition a request's server-side life. Each phase also
-//! feeds an [`AtomicHistogram`] so tails (p99/p999) are observable, not
-//! just totals; `end_to_end` spans admission to scored reply.
+//! socket write) partition a request's server-side life. Each phase is
+//! recorded into an [`AtomicHistogram`] only: its `sum` is the phase total
+//! (the snapshot's `*_secs`) and its buckets give the tails (p99/p999);
+//! `end_to_end` spans admission to scored reply.
 
 use harp_metrics::{
     AtomicHistogram, HistogramSnapshot, LatencySet, LedgerRecord, PlanStats, RunLedger,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Hot-path counters for one server instance.
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    /// Score requests admitted to the queue.
-    pub requests: AtomicU64,
-    /// Rows in admitted Score requests.
-    pub rows: AtomicU64,
-    /// Micro-batches dispatched.
-    pub batches: AtomicU64,
-    /// Score requests shed by admission control (queue full).
-    pub sheds: AtomicU64,
-    /// Protocol errors answered (malformed frames, bad shapes).
-    pub protocol_errors: AtomicU64,
-    /// Model hot-swaps installed.
-    pub swaps: AtomicU64,
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Jobs currently queued for dispatch (gauge: admitted − dispatched).
-    pub queue_depth: AtomicU64,
-    /// Nanoseconds requests spent queued before their batch dispatched.
-    pub queue_wait_ns: AtomicU64,
-    /// Nanoseconds assembling batch matrices.
-    pub assemble_ns: AtomicU64,
-    /// Nanoseconds in forest traversal.
-    pub predict_ns: AtomicU64,
-    /// Nanoseconds serializing and writing responses.
-    pub write_ns: AtomicU64,
-    /// Admission → scored-reply latency distribution, per request.
-    pub e2e_hist: AtomicHistogram,
-    /// Queue-wait latency distribution, per request.
-    pub queue_wait_hist: AtomicHistogram,
-    /// Batch-assembly latency distribution, per batch.
-    pub assemble_hist: AtomicHistogram,
-    /// Predict latency distribution, per batch.
-    pub predict_hist: AtomicHistogram,
-    /// Response-write latency distribution, per reply.
-    pub write_hist: AtomicHistogram,
+/// Declares the serve counters once, each with its Prometheus help text
+/// (which doubles as the field doc). The macro generates the
+/// [`ServeStats`] atomics, the [`StatsSnapshot`] fields, and
+/// [`StatsSnapshot::counters`], which the ledger records and
+/// `/metrics` exposition iterate — so every output lists the counters
+/// under the same names, in row order.
+macro_rules! serve_counters {
+    ($($name:ident => $help:literal,)+) => {
+        /// Number of serve counters.
+        const N_COUNTERS: usize = [$(stringify!($name)),+].len();
+
+        /// Hot-path counters and latency histograms for one server instance.
+        #[derive(Debug, Default)]
+        pub struct ServeStats {
+            $(#[doc = $help] pub $name: AtomicU64,)+
+            /// Jobs currently queued for dispatch (gauge: admitted −
+            /// dispatched).
+            pub queue_depth: AtomicU64,
+            /// Admission → scored-reply latency distribution, per request.
+            pub e2e_hist: AtomicHistogram,
+            /// Queue-wait latency distribution, per request.
+            pub queue_wait_hist: AtomicHistogram,
+            /// Batch-assembly latency distribution, per batch.
+            pub assemble_hist: AtomicHistogram,
+            /// Predict latency distribution, per batch.
+            pub predict_hist: AtomicHistogram,
+            /// Response-write latency distribution, per reply.
+            pub write_hist: AtomicHistogram,
+        }
+
+        /// A point-in-time read of [`ServeStats`].
+        #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+        pub struct StatsSnapshot {
+            $(#[doc = $help] pub $name: u64,)+
+            /// Generation of the forest being served.
+            pub generation: u64,
+            /// Feature count of the forest being served.
+            pub n_features: u64,
+            /// Score groups per row of the forest being served.
+            pub n_groups: u64,
+            /// Queue-wait seconds (sum over requests).
+            pub queue_wait_secs: f64,
+            /// Batch-assembly seconds.
+            pub assemble_secs: f64,
+            /// Predict seconds.
+            pub predict_secs: f64,
+            /// Response-write seconds.
+            pub write_secs: f64,
+            /// Seconds since the server started (distinguishes a fresh
+            /// process from a long-lived one whose counters may have
+            /// wrapped). Absent in pre-histogram snapshots;
+            /// `Option::missing` keeps them parsing.
+            pub uptime_secs: Option<f64>,
+            /// Jobs queued for dispatch at snapshot time.
+            pub queue_depth: Option<u64>,
+            /// Latency histograms in [`PHASE_HIST_NAMES`] order; empty when
+            /// the snapshot predates histogram recording.
+            pub latency: LatencySet,
+        }
+
+        impl StatsSnapshot {
+            /// `(name, help, value)` for every counter, in declaration
+            /// order.
+            pub(crate) fn counters(&self) -> [(&'static str, &'static str, u64); N_COUNTERS] {
+                [$((stringify!($name), $help, self.$name)),+]
+            }
+        }
+
+        impl ServeStats {
+            /// Snapshot with the served forest's generation and shape
+            /// stamped in. Phase seconds are the histogram sums.
+            pub fn snapshot(
+                &self,
+                generation: u64,
+                n_features: u64,
+                n_groups: u64,
+                uptime_secs: f64,
+            ) -> StatsSnapshot {
+                let latency = LatencySet(
+                    PHASE_HIST_NAMES
+                        .iter()
+                        .zip([
+                            &self.e2e_hist,
+                            &self.queue_wait_hist,
+                            &self.assemble_hist,
+                            &self.predict_hist,
+                            &self.write_hist,
+                        ])
+                        .map(|(name, h)| ((*name).to_string(), h.snapshot()))
+                        .collect(),
+                );
+                let secs = |phase| latency.get(phase).map_or(0.0, |h| h.sum() as f64 / 1e9);
+                StatsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)+
+                    generation,
+                    n_features,
+                    n_groups,
+                    queue_wait_secs: secs("queue_wait"),
+                    assemble_secs: secs("assemble"),
+                    predict_secs: secs("predict"),
+                    write_secs: secs("write"),
+                    uptime_secs: Some(uptime_secs),
+                    queue_depth: Some(self.queue_depth.load(Ordering::Relaxed)),
+                    latency,
+                }
+            }
+        }
+    };
+}
+
+serve_counters! {
+    requests => "Score requests admitted.",
+    rows => "Rows admitted in Score requests.",
+    batches => "Micro-batches dispatched.",
+    sheds => "Requests shed by admission control.",
+    protocol_errors => "Protocol errors answered.",
+    swaps => "Model hot-swaps installed.",
+    connections => "Connections accepted.",
 }
 
 /// Histogram names as they appear in [`StatsSnapshot::latency`],
@@ -60,99 +142,10 @@ pub struct ServeStats {
 pub const PHASE_HIST_NAMES: [&str; 5] =
     ["end_to_end", "queue_wait", "assemble", "predict", "write"];
 
-/// A point-in-time read of [`ServeStats`].
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct StatsSnapshot {
-    /// Score requests admitted.
-    pub requests: u64,
-    /// Rows admitted.
-    pub rows: u64,
-    /// Micro-batches dispatched.
-    pub batches: u64,
-    /// Requests shed by admission control.
-    pub sheds: u64,
-    /// Protocol errors answered.
-    pub protocol_errors: u64,
-    /// Hot-swaps installed.
-    pub swaps: u64,
-    /// Connections accepted.
-    pub connections: u64,
-    /// Generation of the forest being served.
-    pub generation: u64,
-    /// Feature count of the forest being served.
-    pub n_features: u64,
-    /// Score groups per row of the forest being served.
-    pub n_groups: u64,
-    /// Queue-wait seconds (sum over requests).
-    pub queue_wait_secs: f64,
-    /// Batch-assembly seconds.
-    pub assemble_secs: f64,
-    /// Predict seconds.
-    pub predict_secs: f64,
-    /// Response-write seconds.
-    pub write_secs: f64,
-    /// Seconds since the server started (distinguishes a fresh process
-    /// from a long-lived one whose counters may have wrapped). Absent in
-    /// pre-histogram snapshots; `Option::missing` keeps them parsing.
-    pub uptime_secs: Option<f64>,
-    /// Jobs queued for dispatch at snapshot time.
-    pub queue_depth: Option<u64>,
-    /// Latency histograms in [`PHASE_HIST_NAMES`] order; empty when the
-    /// snapshot predates histogram recording.
-    pub latency: LatencySet,
-}
-
 impl ServeStats {
-    /// Adds `ns` to a phase counter.
-    pub fn add_ns(counter: &AtomicU64, ns: u64) {
-        counter.fetch_add(ns, Ordering::Relaxed);
-    }
-
     /// Bumps a count by one.
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot with the served forest's generation and shape stamped in.
-    pub fn snapshot(
-        &self,
-        generation: u64,
-        n_features: u64,
-        n_groups: u64,
-        uptime_secs: f64,
-    ) -> StatsSnapshot {
-        let secs = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64 / 1e9;
-        StatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            rows: self.rows.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            sheds: self.sheds.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            swaps: self.swaps.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-            generation,
-            n_features,
-            n_groups,
-            queue_wait_secs: secs(&self.queue_wait_ns),
-            assemble_secs: secs(&self.assemble_ns),
-            predict_secs: secs(&self.predict_ns),
-            write_secs: secs(&self.write_ns),
-            uptime_secs: Some(uptime_secs),
-            queue_depth: Some(self.queue_depth.load(Ordering::Relaxed)),
-            latency: LatencySet(
-                PHASE_HIST_NAMES
-                    .iter()
-                    .zip([
-                        &self.e2e_hist,
-                        &self.queue_wait_hist,
-                        &self.assemble_hist,
-                        &self.predict_hist,
-                        &self.write_hist,
-                    ])
-                    .map(|(name, h)| ((*name).to_string(), h.snapshot()))
-                    .collect(),
-            ),
-        }
     }
 }
 
@@ -192,18 +185,12 @@ impl StatsSnapshot {
                 ("predict".into(), (self.predict_secs - prev.predict_secs).max(0.0)),
                 ("write".into(), (self.write_secs - prev.write_secs).max(0.0)),
             ],
-            counters: vec![
-                ("requests".into(), self.requests.saturating_sub(prev.requests)),
-                ("rows".into(), self.rows.saturating_sub(prev.rows)),
-                ("batches".into(), self.batches.saturating_sub(prev.batches)),
-                ("sheds".into(), self.sheds.saturating_sub(prev.sheds)),
-                (
-                    "protocol_errors".into(),
-                    self.protocol_errors.saturating_sub(prev.protocol_errors),
-                ),
-                ("swaps".into(), self.swaps.saturating_sub(prev.swaps)),
-                ("connections".into(), self.connections.saturating_sub(prev.connections)),
-            ],
+            counters: self
+                .counters()
+                .into_iter()
+                .zip(prev.counters())
+                .map(|((name, _, now), (_, _, before))| (name.into(), now.saturating_sub(before)))
+                .collect(),
             eval_metric: None,
             n_leaves: 0,
             max_depth: 0,
@@ -260,7 +247,6 @@ mod tests {
         ServeStats::bump(&s.requests);
         ServeStats::bump(&s.requests);
         s.rows.fetch_add(128, Ordering::Relaxed);
-        ServeStats::add_ns(&s.predict_ns, 2_000_000_000);
         s.predict_hist.record(2_000_000_000);
         let snap = s.snapshot(3, 28, 1, 1.5);
         assert_eq!(snap.requests, 2);
@@ -289,6 +275,10 @@ mod tests {
         let epoch2 = records[1].latency.get("predict").unwrap();
         assert_eq!(epoch2.count(), 1);
         assert!(epoch2.quantile(0.5) < 2_000_000);
+        // The epoch's predict seconds are the histogram-sum delta.
+        let (name, predict_secs) = &records[1].phase_secs[2];
+        assert_eq!(name, "predict");
+        assert!((predict_secs - 1e-3).abs() < 1e-12);
         // JSONL round-trip keeps the serve phases and histograms.
         let text = ledger.ledger().to_jsonl();
         let back = RunLedger::from_jsonl(&text).unwrap();
@@ -309,5 +299,60 @@ mod tests {
         let (name, qw) = &rec.phase_secs[0];
         assert_eq!(name, "queue_wait");
         assert_eq!(*qw, 0.0, "torn phase seconds must clamp at zero");
+    }
+
+    #[test]
+    fn every_counter_is_declared_once() {
+        // Give each counter a distinct value and each phase a distinct
+        // total, then check every output carries them under one name.
+        let s = ServeStats::default();
+        for (i, counter) in [
+            &s.requests,
+            &s.rows,
+            &s.batches,
+            &s.sheds,
+            &s.protocol_errors,
+            &s.swaps,
+            &s.connections,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            counter.fetch_add(i as u64 + 1, Ordering::Relaxed);
+        }
+        s.queue_wait_hist.record(1_000);
+        s.assemble_hist.record(20_000);
+        s.assemble_hist.record(30_000);
+        s.predict_hist.record(400_000);
+        s.write_hist.record(5_000_000);
+        let snap = s.snapshot(1, 28, 1, 1.0);
+        let counters = snap.counters();
+        assert_eq!(counters.len(), N_COUNTERS);
+        assert_eq!(counters.len(), 7);
+
+        let prom = crate::render_prometheus(&snap);
+        let record = snap.to_ledger_record(1, 1.0, &StatsSnapshot::default());
+        let json = serde_json::to_string(&snap).unwrap();
+        for (i, (name, help, value)) in counters.into_iter().enumerate() {
+            assert_eq!(value, i as u64 + 1, "{name} reads another counter");
+            let family = format!("harp_serve_{name}_total");
+            assert!(prom.contains(&format!("# HELP {family} {help}\n")), "{family} HELP");
+            assert!(prom.contains(&format!("# TYPE {family} counter\n")), "{family} TYPE");
+            assert!(prom.contains(&format!("\n{family} {value}\n")), "{family} value");
+            assert_eq!(record.counters[i], (name.to_string(), value), "ledger column {i}");
+            assert!(json.contains(&format!("\"{name}\":{value}")), "{name} missing from JSON");
+        }
+        assert_eq!(record.counters.len(), N_COUNTERS);
+
+        for (phase, secs) in [
+            ("queue_wait", snap.queue_wait_secs),
+            ("assemble", snap.assemble_secs),
+            ("predict", snap.predict_secs),
+            ("write", snap.write_secs),
+        ] {
+            let sum = snap.latency.get(phase).unwrap().sum();
+            assert!(sum > 0, "{phase} recorded nothing");
+            assert_eq!(secs, sum as f64 / 1e9, "{phase}_secs is not its histogram sum");
+        }
     }
 }

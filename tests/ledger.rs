@@ -5,6 +5,7 @@
 use harp_bench::{harp_params, prepared};
 use harp_data::DatasetKind;
 use harp_metrics::{gauges, DiffOptions, DiffReport, RunLedger};
+use harp_parallel::ProfileCounters;
 use harpgbdt::trainer::{EvalMetric, EvalOptions};
 use harpgbdt::{GbdtTrainer, LedgerConfig, ParallelMode, TraceConfig, TrainParams};
 
@@ -109,6 +110,19 @@ fn trace_enriches_records_with_skew_and_queue_counters() {
         ledger.records().iter().any(|r| !r.skew.is_empty()),
         "trace on must produce per-round skew rows"
     );
+}
+
+#[test]
+fn every_profile_counter_reaches_the_ledger() {
+    // The profile counters are declared once; each must land in the
+    // round-1 record under its `named()` name, in declaration order.
+    let (ledger, _) = ledger_run(small_params(), false);
+    let round1 = &ledger.records()[0];
+    assert_eq!(round1.round, 1);
+    let names: Vec<&str> =
+        ProfileCounters::default().named().iter().map(|&(name, _)| name).collect();
+    let recorded: Vec<&str> = round1.counters.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(recorded[..names.len()], names[..], "round-1 counters: {recorded:?}");
 }
 
 #[test]
